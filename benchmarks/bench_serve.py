@@ -211,7 +211,7 @@ def _load_workload(
         "p99_ms": {
             verb: summary["p99_ms"]
             for verb, summary in sorted(stats["verbs"].items())
-            if verb in ("query", "insert", "delete")
+            if verb in ("query", "query_magic", "insert", "delete")
         },
         "epoch": stats["epoch"],
     }

@@ -1348,7 +1348,7 @@ def _run_plan(
     delta_rows: Iterable[tuple] | None = None,
     guard: EvaluationGuard | None = None,
     node_stats: list[int] | None = None,
-) -> Iterator[list]:
+) -> list[list]:
     """All satisfying slot bindings for a compiled plan.
 
     ``delta_rows`` feeds the plan's ``is_delta`` atom op (present
@@ -1435,8 +1435,8 @@ def _run_plan(
         if node_stats is not None:
             node_stats[2 * op_index + 1] += len(bindings)
         if not bindings:
-            return iter(())
-    return iter(bindings)
+            break
+    return bindings
 
 
 def _plan_heads(
@@ -1446,16 +1446,19 @@ def _plan_heads(
     delta_rows: Iterable[tuple] | None = None,
     guard: EvaluationGuard | None = None,
     node_stats: list[int] | None = None,
-) -> Iterator[tuple]:
-    """Head tuples derived by one compiled plan."""
+) -> list[tuple]:
+    """Head tuples derived by one compiled plan, one per binding (so the
+    list's length is the plan's bindings-enumerated count)."""
     head = compiled.head
-    for binding in _run_plan(
-        compiled, store, universe, delta_rows, guard, node_stats
-    ):
-        yield tuple(
+    return [
+        tuple(
             binding[value] if from_slot else value
             for from_slot, value in head
         )
+        for binding in _run_plan(
+            compiled, store, universe, delta_rows, guard, node_stats
+        )
+    ]
 
 
 def _indexed(
@@ -1482,10 +1485,10 @@ def _indexed(
     cannot expose a half-merged state.
 
     Observability discipline: the per-head/per-binding loops stay free
-    of instrumentation; only when ``collect_profile`` is requested does
-    the counting variant of the loop run, so the disabled path executes
-    the pre-instrumentation inner loops plus a handful of per-round
-    no-op metric calls.
+    of instrumentation.  ``bindings_enumerated``/``tuples_produced`` are
+    the length of each plan's binding list, added once per plan run, so
+    they are exact with profiling on or off; EXPLAIN ANALYZE node counts
+    run only under ``collect_analyze``.
     """
     tracer = _trace.tracer
     idb = program.idb_predicates
@@ -1521,28 +1524,20 @@ def _indexed(
                     zip(program.rules, full_plans)
                 ):
                     _faults.faults.hit("rule")
-                    if profile is None:
-                        heads = set(
-                            _plan_heads(compiled, store, universe, guard=guard)
+                    node_stats = None
+                    if analyze is not None:
+                        node_stats = analyze.full_counts(rule_index)
+                        rule_start = time.perf_counter()
+                    heads = _plan_heads(
+                        compiled, store, universe, guard=guard,
+                        node_stats=node_stats,
+                    )
+                    produced += len(heads)
+                    if analyze is not None:
+                        analyze.add_wall(
+                            rule_index, time.perf_counter() - rule_start
                         )
-                    else:
-                        node_stats = None
-                        if analyze is not None:
-                            node_stats = analyze.full_counts(rule_index)
-                            rule_start = time.perf_counter()
-                        heads = set()
-                        for head in _plan_heads(
-                            compiled, store, universe, guard=guard,
-                            node_stats=node_stats,
-                        ):
-                            heads.add(head)
-                            produced += 1
-                        if analyze is not None:
-                            analyze.add_wall(
-                                rule_index,
-                                time.perf_counter() - rule_start,
-                            )
-                    per_rule.append(heads)
+                    per_rule.append(set(heads))
             rule_firings = [
                 len(heads - store.rows(rule.head.predicate))
                 for rule, heads in zip(program.rules, per_rule)
@@ -1601,33 +1596,23 @@ def _indexed(
                             rows = delta[predicate]
                             if not rows:
                                 continue
-                            if profile is None:
-                                for head in _plan_heads(
-                                    compiled,
-                                    store,
-                                    universe,
-                                    delta_rows=rows,
-                                    guard=guard,
-                                ):
-                                    if head not in existing:
-                                        fired.add(head)
-                            else:
-                                node_stats = None
-                                if analyze is not None:
-                                    node_stats = analyze.delta_counts(
-                                        rule_index, plan_pos
-                                    )
-                                for head in _plan_heads(
-                                    compiled,
-                                    store,
-                                    universe,
-                                    delta_rows=rows,
-                                    guard=guard,
-                                    node_stats=node_stats,
-                                ):
-                                    produced += 1
-                                    if head not in existing:
-                                        fired.add(head)
+                            node_stats = None
+                            if analyze is not None:
+                                node_stats = analyze.delta_counts(
+                                    rule_index, plan_pos
+                                )
+                            heads = _plan_heads(
+                                compiled,
+                                store,
+                                universe,
+                                delta_rows=rows,
+                                guard=guard,
+                                node_stats=node_stats,
+                            )
+                            produced += len(heads)
+                            for head in heads:
+                                if head not in existing:
+                                    fired.add(head)
                         span.annotate(fired=len(fired))
                     if analyze is not None:
                         analyze.add_wall(

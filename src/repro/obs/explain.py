@@ -158,19 +158,29 @@ def explain_codegen(program: Program, name: str | None = None) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
+#: How ``explain_magic`` names each :attr:`MagicRewrite.strategy`.
+_STRATEGIES = {
+    "classical": "classical magic sets",
+    "factored": "factored (reach set over the bound positions, then the "
+    "exit rules)",
+}
+
+
 def explain_magic(rewrite, name: str | None = None) -> str:
     """EXPLAIN output for a magic-sets rewrite.
 
     ``rewrite`` is a :class:`repro.datalog.magic.MagicRewrite`.  Shows
-    the adornment analysis first -- the goal binding, the adorned rules
-    in their sideways-information-passing order, and the demand (magic)
-    rules including the seed fact -- then the ordinary EXPLAIN of the
-    rewritten program, i.e. the plans the engines actually run.
+    the adornment analysis first -- the goal binding, which rewrite ran,
+    the adorned rules in their sideways-information-passing order, and
+    the demand (magic) rules including the seed fact -- then the
+    ordinary EXPLAIN of the rewritten program, i.e. the plans the
+    engines actually run.
     """
     title = f"EXPLAIN MAGIC {name}" if name else "EXPLAIN MAGIC"
     lines = [
         f"{title}: goal atom {rewrite.goal_atom} "
         f"(adornment {rewrite.adornment})",
+        f"  rewrite: {_STRATEGIES[rewrite.strategy]}",
         f"  rewritten goal: {rewrite.adorned_goal}",
         "",
         f"magic (demand) rules, seed first "

@@ -40,7 +40,8 @@ Requests
     current rows instead.
 ``{"op": "stats"}``
     Server observability: version, epoch, uptime, client counts, and
-    per-verb latency quantiles (p50/p95/p99).
+    per-verb latency quantiles (p50/p95/p99); magic reads report under
+    ``query_magic``, apart from plain ``query`` reads.
 ``{"op": "health"}``
     A cheap liveness/pressure probe: epoch, writer-queue depth and
     capacity, client count, and (when a WAL is enabled) the log's

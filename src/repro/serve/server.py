@@ -98,10 +98,13 @@ RETRY_AFTER_UNIT_MS = 25
 class ServeStats:
     """Mutable per-server counters and latency histograms.
 
-    ``observe(verb, seconds)`` records one handled request;
-    :meth:`summary` renders the ``stats`` response payload with
+    ``observe(verb, seconds, tenant, magic)`` records one handled
+    request; :meth:`summary` renders the ``stats`` response payload with
     nearest-rank p50/p95/p99 per verb (exact, deterministic -- the
-    same quantile rule as :mod:`repro.obs.metrics`).
+    same quantile rule as :mod:`repro.obs.metrics`).  Magic reads, which
+    evaluate where plain reads only filter, get their own latency series
+    ``query_magic``; the ``serve.requests.*`` counters stay keyed by the
+    wire verb.
     """
 
     started_at: float = field(default_factory=time.monotonic)
@@ -116,8 +119,15 @@ class ServeStats:
     subscribers_evicted: int = 0
     wal_records: int = 0
 
-    def observe(self, verb: str, seconds: float, tenant: str | None) -> None:
-        self.latencies.setdefault(verb, []).append(seconds)
+    def observe(
+        self,
+        verb: str,
+        seconds: float,
+        tenant: str | None,
+        magic: bool = False,
+    ) -> None:
+        series = "query_magic" if magic else verb
+        self.latencies.setdefault(series, []).append(seconds)
         if tenant is not None:
             self.tenants[tenant] = self.tenants.get(tenant, 0) + 1
         _metrics.metrics.inc(f"serve.requests.{verb}")
@@ -393,7 +403,6 @@ class ReproServer:
             if self.wal is not None:
                 self.wal.append(record)  # torn_wal raises through here
                 self.stats.wal_records += 1
-                _metrics.metrics.inc("serve.wal.appends")
             if job.rid is not None:
                 merge_dedupe(self._dedupe, record)
                 self._trim_dedupe()
@@ -482,7 +491,6 @@ class ReproServer:
             self.wal.rotate(
                 self.view.epoch, self.view.program_fp, self._dedupe
             )
-            _metrics.metrics.inc("serve.wal.rotations")
 
     # -- per-connection plumbing -------------------------------------------
 
@@ -537,11 +545,13 @@ class ReproServer:
         request_id = None
         tenant = None
         verb = "?"
+        magic = False
         try:
             request = protocol.parse_request(line.decode("utf-8", "replace"))
             request_id = request["id"]
             tenant = request["tenant"]
             verb = request["op"]
+            magic = request.get("magic", False)
             response = await self._dispatch(connection, request)
         except protocol.ProtocolError as exc:
             self.stats.errors += 1
@@ -561,7 +571,9 @@ class ReproServer:
             response = protocol.error_response(
                 request_id, "internal", f"{type(exc).__name__}: {exc}"
             )
-        self.stats.observe(verb, time.perf_counter() - started, tenant)
+        self.stats.observe(
+            verb, time.perf_counter() - started, tenant, magic
+        )
         connection.send(response)
 
     async def _dispatch(self, connection: _Connection, request: dict) -> dict:

@@ -16,11 +16,16 @@ import pytest
 from repro.datalog.algebra_engine import evaluate_algebra
 from repro.datalog.evaluation import ANALYZE_ENGINES, evaluate
 from repro.datalog.incremental import IncrementalSession, Update
-from repro.datalog.library import q_program, transitive_closure_program
+from repro.datalog.library import (
+    library_programs,
+    q_program,
+    transitive_closure_program,
+)
 from repro.datalog.parallel import shutdown_workers
 from repro.graphs.generators import path_graph, random_digraph
 from repro.obs import metrics as metrics_module
 from repro.obs import trace as trace_module
+from repro.structures import Structure, Vocabulary
 
 PLAN_AND_SET_ENGINES = ("indexed", "codegen", "seminaive", "naive", "parallel")
 ALL_ENGINES = PLAN_AND_SET_ENGINES + ("algebra",)
@@ -110,6 +115,43 @@ class TestFixpointParity:
         assert plain.relations == analyzed.relations
         assert plain.iterations == analyzed.iterations
         assert analyzed.profile.plans is not None
+
+
+def _library_structure(program):
+    """A graph for the graph-EDB programs; path-systems gets its own
+    small Axiom/Rule system."""
+    if set(program.edb_predicates) == {"E"}:
+        return random_digraph(7, 0.3, seed=3).to_structure()
+    return Structure(
+        Vocabulary({"Axiom": 1, "Rule": 3}),
+        range(6),
+        {"Axiom": [(0,), (1,)], "Rule": [(2, 0, 1), (3, 2, 1), (4, 3, 5)]},
+    )
+
+
+class TestWorkCounterParity:
+    """With profiling off, the indexed engine counts the bindings it
+    enumerates and the heads it produces exactly as codegen does."""
+
+    @pytest.mark.parametrize("name", sorted(library_programs()))
+    def test_indexed_equals_codegen_with_profiling_off(self, name):
+        program = library_programs()[name]
+        structure = _library_structure(program)
+        counted = {}
+        for engine in ("indexed", "codegen"):
+            registry = metrics_module.enable_metrics(
+                metrics_module.MetricsRegistry()
+            )
+            try:
+                evaluate(program, structure, method=engine)
+            finally:
+                metrics_module.disable_metrics()
+            counted[engine] = (
+                registry.counter("datalog.bindings_enumerated"),
+                registry.counter("datalog.tuples_produced"),
+            )
+        assert counted["indexed"] == counted["codegen"]
+        assert counted["indexed"][0] > 0
 
 
 class TestMaintenanceParity:

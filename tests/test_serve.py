@@ -344,6 +344,25 @@ class TestServerIntegration:
                 <= summary["p99_ms"]
             )
 
+    def test_stats_reports_magic_reads_apart(self):
+        from repro.obs import metrics
+
+        registry = metrics.enable_metrics(metrics.MetricsRegistry())
+        try:
+            with running_server(tc_view(self.EDGES)) as server:
+                with connect(server) as client:
+                    client.query(bind=["a", "_"])
+                    client.query(bind=["b", "_"])
+                    client.query(bind=["a", "_"], magic=True)
+                    verbs = client.stats()["verbs"]
+        finally:
+            metrics.disable_metrics()
+        assert verbs["query"]["count"] == 2
+        assert verbs["query_magic"]["count"] == 1
+        # The request counters stay keyed by the wire verb.
+        assert registry.counter("serve.requests.query") == 3
+        assert registry.counter("serve.requests.query_magic") == 0
+
     def test_concurrent_clients_share_one_view(self):
         with running_server(tc_view(self.EDGES)) as server:
             clients = [connect(server) for _ in range(4)]

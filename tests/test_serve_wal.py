@@ -22,6 +22,7 @@ from repro.datalog.evaluation import evaluate
 from repro.datalog.incremental import Update
 from repro.datalog.library import transitive_closure_program
 from repro.graphs.digraph import DiGraph
+from repro.obs import metrics
 from repro.serve.view import LiveView
 from repro.serve.wal import (
     WalCorrupt,
@@ -33,6 +34,7 @@ from repro.serve.wal import (
     recover,
     scan_wal,
 )
+from tests.serve_utils import connect, running_server
 
 NODES = "abcde"
 EDGES = [("a", "b"), ("b", "c"), ("c", "d")]
@@ -370,3 +372,51 @@ class TestRecovery:
         assert dedupe == {}
         assert report.replayed == report.skipped == 0
         assert not os.path.exists(str(tmp_path / "no.wal"))
+
+
+class TestCounterReconciliation:
+    """Each WAL event is counted once: the ``serve.wal.*`` counters of a
+    served run equal what is on disk and what the server did."""
+
+    def _serve_script(self, tmp_path, checkpoint_every):
+        view = _fresh_view()
+        wal_path = str(tmp_path / "serve.wal")
+        wal = WriteAheadLog.create(wal_path, 0, view.program_fp)
+        registry = metrics.enable_metrics(metrics.MetricsRegistry())
+        try:
+            with running_server(
+                view,
+                wal=wal,
+                checkpoint_path=str(tmp_path / "serve.ckpt"),
+                checkpoint_every=checkpoint_every,
+            ) as server:
+                with connect(server) as client:
+                    for kind, row in SCRIPT:
+                        getattr(client, kind)("E", list(row))
+                    stats = client.stats()
+        finally:
+            metrics.disable_metrics()
+        return registry, stats, scan_wal(wal_path)
+
+    def test_appends_equal_records_on_disk(self, tmp_path):
+        registry, stats, scan = self._serve_script(tmp_path, 0)
+        assert len(scan.records) == len(SCRIPT)
+        assert registry.counter("serve.wal.appends") == len(scan.records)
+        assert stats["wal_records"] == len(scan.records)
+        assert registry.counter("serve.wal.rotations") == 0
+
+    def test_rotations_equal_checkpoints_written(self, tmp_path):
+        registry, stats, scan = self._serve_script(tmp_path, 2)
+        assert stats["checkpoints_written"] == len(SCRIPT) // 2
+        assert (
+            registry.counter("serve.wal.rotations")
+            == registry.counter("serve.checkpoints_written")
+            == stats["checkpoints_written"]
+        )
+        # Rotation dropped the records up to its base epoch (one record
+        # per single-row update); the rest are still on disk.
+        assert (
+            scan.base_epoch + len(scan.records)
+            == registry.counter("serve.wal.appends")
+            == len(SCRIPT)
+        )
