@@ -31,8 +31,6 @@ are only enforced at full size; strict tuple reduction and the
 bound-first tuple counts always are) and writes shared-schema rows.
 """
 
-import random
-
 import pytest
 
 from _harness import record, timed_row
@@ -44,7 +42,10 @@ from repro.datalog.library import (
     goal_bound_transitive_closure,
     transitive_closure_program,
 )
-from repro.graphs.generators import cycle_graph, random_digraph
+from repro.graphs.generators import (
+    random_digraph,
+    strongly_connected_digraph,
+)
 
 #: (k, l, nodes): mirrors bench_theorem61.LARGEST at full size.
 FULL_INSTANCE = (2, 1, 12)
@@ -110,27 +111,19 @@ def _compare(name, program, goal_atom, structure, params, repeats=2):
     return direct_row, magic_row
 
 
-def strongly_connected(n: int, seed: int):
-    """A directed n-cycle plus one random extra successor per node."""
-    rng = random.Random(seed)
-    graph = cycle_graph(n)
-    nodes = sorted(graph.nodes)
-    return graph.add_edges({(u, rng.choice(nodes)) for u in nodes})
-
-
 def bound_first_cases(tc_sizes, avoiding_sizes):
     """``(name, program, goal_atom, bound structure, params, factored)``
     per bound-first row: TC ``bf``, then Example 2.1 ``bfb`` and its
     classical ``bff`` neighbour at each size."""
     a, y, w = Constant("a"), Variable("y"), Constant("w")
     for n in tc_sizes:
-        structure = strongly_connected(n, seed=n).to_structure()
+        structure = strongly_connected_digraph(n, seed=n).to_structure()
         yield (
             "tc-bf", transitive_closure_program(), Atom("S", (a, y)),
             structure.with_constants({"a": "v0"}), {"nodes": n}, True,
         )
     for n in avoiding_sizes:
-        structure = strongly_connected(n, seed=n).to_structure()
+        structure = strongly_connected_digraph(n, seed=n).to_structure()
         bound = structure.with_constants({"a": "v0", "w": f"v{n // 2}"})
         for goal, factored in (
             (Atom("T", (a, y, w)), True),

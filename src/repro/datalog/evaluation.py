@@ -1440,25 +1440,15 @@ def _run_plan(
 
 
 def _plan_heads(
-    compiled: _CompiledPlan,
-    store: IndexedDatabase,
-    universe: list,
-    delta_rows: Iterable[tuple] | None = None,
-    guard: EvaluationGuard | None = None,
-    node_stats: list[int] | None = None,
-) -> list[tuple]:
-    """Head tuples derived by one compiled plan, one per binding (so the
-    list's length is the plan's bindings-enumerated count)."""
+    compiled: _CompiledPlan, bindings: Iterable[list]
+) -> Iterator[tuple]:
+    """Head tuples of one compiled plan's ``bindings``, one per binding."""
     head = compiled.head
-    return [
-        tuple(
+    for binding in bindings:
+        yield tuple(
             binding[value] if from_slot else value
             for from_slot, value in head
         )
-        for binding in _run_plan(
-            compiled, store, universe, delta_rows, guard, node_stats
-        )
-    ]
 
 
 def _indexed(
@@ -1528,16 +1518,16 @@ def _indexed(
                     if analyze is not None:
                         node_stats = analyze.full_counts(rule_index)
                         rule_start = time.perf_counter()
-                    heads = _plan_heads(
+                    bindings = _run_plan(
                         compiled, store, universe, guard=guard,
                         node_stats=node_stats,
                     )
-                    produced += len(heads)
+                    produced += len(bindings)
+                    per_rule.append(set(_plan_heads(compiled, bindings)))
                     if analyze is not None:
                         analyze.add_wall(
                             rule_index, time.perf_counter() - rule_start
                         )
-                    per_rule.append(set(heads))
             rule_firings = [
                 len(heads - store.rows(rule.head.predicate))
                 for rule, heads in zip(program.rules, per_rule)
@@ -1601,7 +1591,7 @@ def _indexed(
                                 node_stats = analyze.delta_counts(
                                     rule_index, plan_pos
                                 )
-                            heads = _plan_heads(
+                            bindings = _run_plan(
                                 compiled,
                                 store,
                                 universe,
@@ -1609,8 +1599,8 @@ def _indexed(
                                 guard=guard,
                                 node_stats=node_stats,
                             )
-                            produced += len(heads)
-                            for head in heads:
+                            produced += len(bindings)
+                            for head in _plan_heads(compiled, bindings):
                                 if head not in existing:
                                     fired.add(head)
                         span.annotate(fired=len(fired))

@@ -10,8 +10,9 @@
 * :func:`disjoint_paths_graph` -- the Theorem 6.6 structure A_k: two
   node-disjoint simple paths of prescribed lengths with four distinguished
   endpoints.
-* :func:`random_digraph` / :func:`layered_random_dag` -- seeded random
-  instances for property tests and benchmarks.
+* :func:`random_digraph` / :func:`layered_random_dag` /
+  :func:`strongly_connected_digraph` -- seeded random instances for
+  property tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -131,6 +132,17 @@ def random_digraph(
         if (loops or u != v) and rng.random() < edge_probability
     ]
     return DiGraph(nodes, edges)
+
+
+def strongly_connected_digraph(
+    n: int, seed: int, prefix: str = "v"
+) -> DiGraph:
+    """A seeded strongly connected digraph: the directed ``n``-cycle plus
+    one random extra successor per node."""
+    rng = random.Random(seed)
+    graph = cycle_graph(n, prefix)
+    nodes = sorted(graph.nodes)
+    return graph.add_edges({(u, rng.choice(nodes)) for u in nodes})
 
 
 def layered_random_dag(

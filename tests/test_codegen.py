@@ -147,7 +147,9 @@ class TestBindingsAgainstInterpreter:
             for rule in program.rules:
                 plan = plan_rule(rule)
                 compiled = _compile_plan(plan, constants)
-                heads = set(_plan_heads(compiled, store, universe))
+                heads = set(
+                    _plan_heads(compiled, _run_plan(compiled, store, universe))
+                )
                 function = bind_plan(
                     render_plan(plan), store, constants
                 )

@@ -35,15 +35,10 @@ from repro.datalog.magic import (
     magic_rewrite,
 )
 from repro.datalog.parser import parse_program
-from repro.graphs.generators import cycle_graph, random_digraph
-
-
-def _strongly_connected(n: int, seed: int):
-    """A directed n-cycle plus one random extra successor per node."""
-    rng = random.Random(seed)
-    graph = cycle_graph(n)
-    nodes = sorted(graph.nodes)
-    return graph.add_edges({(u, rng.choice(nodes)) for u in nodes})
+from repro.graphs.generators import (
+    random_digraph,
+    strongly_connected_digraph,
+)
 
 
 class TestTransitiveClosure:
@@ -62,7 +57,7 @@ class TestTransitiveClosure:
     @pytest.mark.parametrize("n", [8, 30])
     @pytest.mark.parametrize("engine", QUERY_ENGINES)
     def test_bound_first_read_derives_2n_tuples(self, n, engine):
-        graph = _strongly_connected(n, seed=n)
+        graph = strongly_connected_digraph(n, seed=n)
         structure = graph.to_structure().with_constants({"a": "v0"})
         goal = Atom("S", (Constant("a"), Variable("y")))
         outcome = query(
@@ -100,7 +95,7 @@ class TestAvoidingPath:
         assert not factoring_applies(program, "T", "bff")
 
     def test_bfb_answers_match_direct(self):
-        structure = _strongly_connected(12, seed=3).to_structure()
+        structure = strongly_connected_digraph(12, seed=3).to_structure()
         structure = structure.with_constants({"a": "v0", "w": "v5"})
         goal = Atom("T", (Constant("a"), Variable("y"), Constant("w")))
         direct = query(avoiding_path_program(), structure, goal, magic=False)
@@ -161,7 +156,7 @@ class TestConditionEdges:
     def test_near_miss_stays_classical(self, miss):
         program = parse_program(NEAR_MISS_PROGRAMS[miss], goal="P")
         assert not factoring_applies(program, "P", "bf"), miss
-        structure = _strongly_connected(6, seed=1).to_structure()
+        structure = strongly_connected_digraph(6, seed=1).to_structure()
         structure = structure.with_constants({"c1": "v2", "g": "v0"})
         goal = Atom("P", (Constant("g"), Variable("y")))
         direct = query(program, structure, goal, magic=False)
