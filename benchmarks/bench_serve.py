@@ -12,14 +12,26 @@ mixed query/update workload correctly and fast enough to be a service:
   so it is what the CI perf gate compares in counters mode against
   the checked-in ``baselines/BENCH_serve_quick.json``;
 * **load rows** (``serve-load-cN``): N client threads hammer the
-  server with a seeded mixed workload (70% view queries, 10% magic
-  queries, 20% updates).  These rows report *sustained throughput* --
+  server with a seeded mixed workload (70% view queries, half of them
+  bound first and half bound second, 10% magic queries, 20% updates).
+  These rows report *sustained throughput* --
   queries/sec and the server's own per-verb p99 latency (from its
   ``stats`` histograms) in the row's ``analyze`` payload -- and
   deliberately carry **empty counters**: thread interleaving makes
   per-run work nondeterministic, and an empty counters dict compares
   as ratio 1.0 in the gate (wall-clock on shared CI is informational,
-  never enforced).
+  never enforced);
+* **scaling rows** (``serve-scale-nN``): an in-process
+  transitive-closure :class:`~repro.serve.view.LiveView` on a seeded
+  strongly connected graph of N nodes (N^2 view tuples, N answer rows
+  per bound-first read) reports the median bound read
+  ``query_view(snapshot, [x, None])`` over every x, its cost per
+  answer row, and the median publish over a fixed insert/delete
+  script.  Wall-only, empty counters like the load rows.  In full
+  mode (N = 50, 100, 200) the bars are asserted: the read is
+  <= 0.5 ms at N = 200 and costs at most 2x per answer row what it
+  costs at N = 50, and the publish is <= 0.1 ms at N = 200; ``--quick``
+  runs N = 50 and reports only.
 
 E24 prices durability (``serve/wal.py``) on the same workloads:
 
@@ -36,10 +48,13 @@ E24 prices durability (``serve/wal.py``) on the same workloads:
   default ``interval`` policy must cost <= 15% of baseline qps
   (asserted; quick/CI runs on shared machines report it only).
 
-Correctness is enforced on every row: after the workload drains, the
-served view must equal a from-scratch evaluation of the final EDB
-(the serial-equivalence property the differential suite pins, here
-checked end-to-end under load).
+Correctness is enforced on every served row: after the workload
+drains, the served view must equal a from-scratch evaluation of the
+final EDB, and so must every bound read ``[x, None]`` and
+``[None, x]`` over the wire (the serial-equivalence property the
+differential suite pins, here checked end-to-end under load, where
+the answers come from buckets carried forward across concurrent
+updates).
 
 Also runnable as a script (CI smoke)::
 
@@ -50,19 +65,24 @@ import asyncio
 import json
 import os
 import random
+import statistics
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from _harness import timed_row, write_rows
 from repro.datalog.evaluation import evaluate
+from repro.datalog.incremental import Update
 from repro.datalog.library import transitive_closure_program
-from repro.graphs.generators import random_digraph
+from repro.graphs.generators import random_digraph, strongly_connected_digraph
+from repro.obs import metrics as _metrics
+from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer
-from repro.serve.view import LiveView
+from repro.serve.view import LiveView, filter_rows
 from repro.serve.wal import WriteAheadLog, recover
 
 #: (nodes, edge probability) of the seeded workload graph.
@@ -76,6 +96,14 @@ QUICK_LOAD = [(3, 40)]
 SCRIPT_UPDATES = 12  # update count in the deterministic scripted row
 WAL_CHECKPOINT_EVERY = 5  # two rotations + a replayable suffix of 2
 WAL_OVERHEAD_BAR = 0.15  # interval-fsync qps cost vs no WAL (full mode)
+
+#: Scaling rows: TC views on strongly connected graphs of N nodes.
+FULL_SCALING = (50, 100, 200)
+QUICK_SCALING = (50,)
+SCALING_CHORDS = 3  # chords inserted, then deleted, by the publish script
+READ_BAR_MS = 0.5  # bound read at the largest N (full mode)
+PER_ROW_BAR = 2.0  # per-answer-row read cost, largest N vs smallest
+PUBLISH_BAR_MS = 0.1  # publish at the largest N (full mode)
 
 
 class _ServerThread:
@@ -122,15 +150,42 @@ def _universe(structure) -> list:
     return sorted(structure.universe)
 
 
+@contextmanager
+def _unmetered():
+    """Keep end-of-run checks out of a row's work counters."""
+    registry = _metrics.get_metrics()
+    _metrics.disable_metrics()
+    try:
+        yield
+    finally:
+        if registry is not _metrics.NOOP:
+            _metrics.enable_metrics(registry)
+
+
 def _verify_final_view(server: ReproServer, structure) -> None:
-    """The served view equals a from-scratch evaluation (end-to-end)."""
+    """The served view equals a from-scratch evaluation (end-to-end).
+
+    Besides the whole goal relation, the bound reads ``[x, None]`` and
+    ``[None, x]`` of every node x are compared over the wire.  They run
+    unmetered: the scripted rows' counters describe the workload alone.
+    """
     program = server.view.program
     expected = evaluate(
         program, structure, extra_edb=server.view.snapshot.edb
     )
-    assert server.view.snapshot.goal_rows == frozenset(
-        expected.relations[program.goal]
-    ), "served view diverged from from-scratch evaluation"
+    goal_rows = frozenset(expected.relations[program.goal])
+    assert server.view.snapshot.goal_rows == goal_rows, (
+        "served view diverged from from-scratch evaluation"
+    )
+    with _unmetered(), ServeClient(
+        "127.0.0.1", server.port, timeout=60
+    ) as client:
+        for x in _universe(structure):
+            for bind in ([x, None], [None, x]):
+                answer = client.query(bind=bind)
+                assert answer["rows"] == protocol.rows_payload(
+                    filter_rows(goal_rows, bind)
+                ), f"bound read {bind} diverged at epoch {answer['epoch']}"
 
 
 def _scripted_workload(port: int, structure) -> int:
@@ -173,7 +228,13 @@ def _load_workload(
                 for __ in range(per_client):
                     roll = rng.random()
                     if roll < 0.70:
-                        client.query(bind=[rng.choice(nodes), None])
+                        # Both bound positions, so the second one's
+                        # buckets are carried forward across updates
+                        # before the final check reads them.
+                        x = rng.choice(nodes)
+                        client.query(
+                            bind=[x, None] if roll < 0.35 else [None, x]
+                        )
                     elif roll < 0.80:
                         client.query(
                             bind=[rng.choice(nodes), None], magic=True
@@ -259,6 +320,104 @@ def _load_row(nodes: int, p: float, clients: int, per_client: int) -> dict:
         "counters": {},
         "analyze": report,
     }
+
+
+class _PublishTimedView(LiveView):
+    """A live view that records the wall time of each publish."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.publish_seconds: list[float] = []
+        super().__init__(*args, **kwargs)
+
+    def _publish(self, result):
+        started = time.perf_counter()
+        snapshot = super()._publish(result)
+        self.publish_seconds.append(time.perf_counter() - started)
+        return snapshot
+
+
+def _scaling_script(graph) -> list[Update]:
+    """Insert ``SCALING_CHORDS`` chords across the cycle, then delete them.
+
+    The graph stays strongly connected throughout, so every update
+    leaves the closure as it is: the script prices what a publish
+    costs beyond the delta, which a copying publish pays per view.
+    """
+    nodes = sorted(graph.nodes)
+    n = len(nodes)
+    chords = [
+        (nodes[i], nodes[(i + n // 2) % n])
+        for i in range(0, n, n // SCALING_CHORDS)
+        if (nodes[i], nodes[(i + n // 2) % n]) not in graph.edges
+    ][:SCALING_CHORDS]
+    return [Update("insert", "E", chord) for chord in chords] + [
+        Update("delete", "E", chord) for chord in chords
+    ]
+
+
+def _scaling_row(nodes: int) -> dict:
+    """Bound reads and publishes on a TC view of ``nodes``^2 tuples."""
+    graph = strongly_connected_digraph(nodes, seed=23)
+    started = time.perf_counter()
+    view = _PublishTimedView(
+        transitive_closure_program(), graph.to_structure()
+    )
+    snapshot = view.snapshot
+    reads, per_row = [], []
+    for x in sorted(graph.nodes):
+        read_started = time.perf_counter()
+        rows = view.query_view(snapshot, [x, None])
+        seconds = time.perf_counter() - read_started
+        reads.append(seconds)
+        per_row.append(seconds / max(len(rows), 1))
+    overheads = []
+    for update in _scaling_script(graph):
+        apply_started = time.perf_counter()
+        result, __ = view.apply(update)
+        overheads.append(
+            time.perf_counter() - apply_started - result.wall_seconds
+        )
+    wall = time.perf_counter() - started
+    assert view.snapshot.goal_rows == snapshot.goal_rows, (
+        "a chord script changed the closure of a strongly connected graph"
+    )
+    return {
+        "name": f"serve-scale-n{nodes}",
+        "params": {"nodes": nodes, "chords": SCALING_CHORDS},
+        "engine": "serve",
+        "wall_ms": round(wall * 1000, 3),
+        # Empty like the load rows: a wall-only row.
+        "counters": {},
+        "analyze": {
+            "tuples": len(snapshot.goal_rows),
+            "read_ms": round(statistics.median(reads) * 1000, 4),
+            "read_us_per_row": round(statistics.median(per_row) * 1e6, 4),
+            "publish_ms": round(
+                statistics.median(view.publish_seconds) * 1000, 4
+            ),
+            "apply_overhead_ms": round(
+                statistics.median(overheads) * 1000, 4
+            ),
+        },
+    }
+
+
+def _check_scaling(rows: list[dict]) -> None:
+    """The E23 scaling bars, largest N against smallest (full mode)."""
+    smallest, largest = rows[0]["analyze"], rows[-1]["analyze"]
+    assert largest["read_ms"] <= READ_BAR_MS, (
+        f"bound read {largest['read_ms']} ms at the largest view "
+        f"(bar: {READ_BAR_MS} ms)"
+    )
+    growth = largest["read_us_per_row"] / smallest["read_us_per_row"]
+    assert growth <= PER_ROW_BAR, (
+        f"per-answer-row read cost grew {growth:.2f}x with the view "
+        f"(bar: {PER_ROW_BAR}x)"
+    )
+    assert largest["publish_ms"] <= PUBLISH_BAR_MS, (
+        f"publish {largest['publish_ms']} ms at the largest view "
+        f"(bar: {PUBLISH_BAR_MS} ms)"
+    )
 
 
 def _wal_scripted_row(nodes: int, p: float, workdir: str) -> dict:
@@ -451,6 +610,11 @@ def main(argv=None):
     rows = [_scripted_row(nodes, p)]
     for clients, per_client in load_shape:
         rows.append(_load_row(nodes, p, clients, per_client))
+    scaling = [
+        _scaling_row(size)
+        for size in (QUICK_SCALING if args.quick else FULL_SCALING)
+    ]
+    rows.extend(scaling)
     clients, per_client = load_shape[0]
     with tempfile.TemporaryDirectory() as workdir:
         rows.append(_wal_scripted_row(nodes, p, workdir))
@@ -480,6 +644,16 @@ def main(argv=None):
         f"serve-scripted counters: "
         f"{json.dumps(rows[0]['counters'], sort_keys=True)[:120]}..."
     )
+    for row in scaling:
+        report = row["analyze"]
+        print(
+            f"{row['name']:<24} {report['tuples']:>6} tuples: bound read "
+            f"{report['read_ms']} ms ({report['read_us_per_row']} us/row), "
+            f"publish {report['publish_ms']} ms (apply overhead "
+            f"{report['apply_overhead_ms']} ms)"
+        )
+    if not args.quick:
+        _check_scaling(scaling)
     for row in rows:
         if not row["name"].startswith("serve-wal-load-"):
             continue

@@ -16,8 +16,9 @@ Layers
     The newline-delimited JSON wire contract (verbs, validation,
     structured errors, ``resync`` events) -- pure data plumbing.
 :mod:`repro.serve.view`
-    :class:`LiveView` / :class:`ViewSnapshot`: epochs, pinned-snapshot
-    query paths (view filter vs magic-sets re-derivation), and
+    :class:`LiveView` / :class:`ViewSnapshot`: epochs, copy-on-write
+    snapshots, pinned-snapshot query paths (bucket lookup vs
+    magic-sets re-derivation), and
     checkpoint/resume built on
     :class:`~repro.guard.MaintenanceCheckpoint`.
 :mod:`repro.serve.wal`

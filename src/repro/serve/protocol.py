@@ -14,8 +14,8 @@ Requests
     per goal argument -- a node label (a string or integer, bound) or
     ``null`` / ``"_"`` (free) -- and may be omitted for the all-free
     query.  With
-    ``magic: false`` (default) the answer is a filter over the live
-    materialized view; with ``magic: true`` the magic-sets rewrite is
+    ``magic: false`` (default) the answer is one bucket lookup in the
+    live materialized view; with ``magic: true`` the magic-sets rewrite is
     evaluated against the pinned EDB snapshot, deriving only the facts
     the binding demands.  Either way the response reports the **epoch
     the answer was computed at** -- reads are snapshot-consistent.

@@ -102,7 +102,7 @@ class ServeStats:
     request; :meth:`summary` renders the ``stats`` response payload with
     nearest-rank p50/p95/p99 per verb (exact, deterministic -- the
     same quantile rule as :mod:`repro.obs.metrics`).  Magic reads, which
-    evaluate where plain reads only filter, get their own latency series
+    evaluate where plain reads only look up, get their own latency series
     ``query_magic``; the ``serve.requests.*`` counters stay keyed by the
     wire verb.
     """

@@ -5,24 +5,37 @@
 three things a concurrent server needs on top of incremental
 maintenance:
 
-**Epochs and snapshots.**  Every applied update bumps a monotonically
-increasing *epoch*, and after each bump the view publishes an immutable
-:class:`ViewSnapshot` -- the IDB relations and the EDB as frozensets.
-Reads run against a pinned snapshot, never against the mutating
-session, so a query observes one epoch in its entirety no matter how
-many updates land while it computes (snapshot consistency).  Because
-the session's relations are rebuilt as fresh ``frozenset``s per
-snapshot, an old snapshot stays valid forever; pinning is just holding
-a reference.
+**Epochs and copy-on-write snapshots.**  Every applied update bumps a
+monotonically increasing *epoch*, and after each bump the view
+publishes an immutable :class:`ViewSnapshot`.  Reads run against a
+pinned snapshot, never against the mutating session, so a query
+observes one epoch in its entirety no matter how many updates land
+while it computes (snapshot consistency); pinning is just holding a
+reference.  A snapshot stores each IDB relation as *bucket maps* --
+key -> frozenset of the rows holding that key at a position
+signature -- and neighbouring epochs share them copy-on-write: the
+first-argument maps are built once, with
+:func:`~repro.datalog.indexing.hash_index`, when the view is
+constructed; a publish copies only the maps of the relations the
+update's :class:`~repro.datalog.incremental.MaintenanceResult` changed
+and rebuilds only the buckets its delta rows touch.  Every other map
+and bucket is the previous snapshot's own object, and no bucket is
+changed once built, so an old snapshot stays valid forever and a
+publish costs what the delta touches -- those buckets, the key tables
+of the changed maps and the one EDB relation the update names -- not
+the view.
 
-**Two query paths.**  A *view query* answers a goal binding by
-filtering the materialised goal relation of the pinned snapshot --
-O(answers), no evaluation.  A *magic query* re-derives only what the
-binding demands: it builds the bound goal atom (bound positions become
-fresh ``__g{i}`` constants, exactly like ``repro run --bind``), runs
-the magic-sets rewrite against the snapshot's EDB, and returns the
-same rows the filter would -- the classical demand-driven trade-off,
-now per-request.  Magic queries accept a per-call
+**Two query paths.**  A *view query* answers a goal binding with one
+lookup in the pinned snapshot -- O(answer), no evaluation: a bound
+first argument reads its bucket, any other bound signature reads a map
+built from the snapshot's rows on first use (and carried forward from
+then on), a fully bound row is a membership test, and only an unbound
+read materialises the relation.  A *magic query* re-derives only what
+the binding demands: it builds the bound goal atom (bound positions
+become fresh ``__g{i}`` constants, exactly like ``repro run --bind``),
+runs the magic-sets rewrite against the snapshot's EDB, and returns
+the same rows the view query would -- the classical demand-driven
+trade-off, now per-request.  Magic queries accept a per-call
 :class:`~repro.guard.ResourceBudget`, which is how per-tenant limits
 reach the evaluator.
 
@@ -39,6 +52,7 @@ kill/restart fault drill both go through this pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro.datalog.ast import Atom, Constant, Program, Variable
@@ -52,6 +66,7 @@ from repro.datalog.incremental import (
     MaintenanceResult,
     Update,
 )
+from repro.datalog.indexing import PositionSignature, hash_index
 from repro.guard import (
     MaintenanceCheckpoint,
     ResourceBudget,
@@ -61,30 +76,117 @@ from repro.structures.structure import Structure
 
 Row = tuple
 
+#: Key (the row's arguments at a position signature) -> those rows.
+Buckets = dict[tuple, frozenset]
+#: One relation's bucket maps, by position signature.
+BucketMaps = dict[PositionSignature, Buckets]
+
+_NO_ROWS: frozenset = frozenset()
+
+
+def _bucket_map(rows: Iterable[Row], positions: PositionSignature) -> Buckets:
+    return {
+        key: frozenset(group)
+        for key, group in hash_index(rows, positions).items()
+    }
+
+
+def _first_argument_maps(rows: Iterable[Row], arity: int) -> BucketMaps:
+    positions = (0,) if arity else ()
+    return {positions: _bucket_map(rows, positions)}
+
+
+def _union(maps: BucketMaps) -> frozenset:
+    """A relation's rows: each of its maps partitions them."""
+    buckets = next(iter(maps.values()))
+    return frozenset().union(*buckets.values())
+
+
+def _carry_forward(
+    buckets: Buckets,
+    positions: PositionSignature,
+    added: frozenset,
+    removed: frozenset,
+) -> Buckets:
+    """``buckets`` copied, with only the buckets the delta touches rebuilt."""
+    plus = hash_index(added, positions)
+    minus = hash_index(removed, positions)
+    updated = dict(buckets)
+    for key in plus.keys() | minus.keys():
+        rows = buckets.get(key, _NO_ROWS)
+        if key in minus:
+            rows = rows.difference(minus[key])
+        if key in plus:
+            rows = rows.union(plus[key])
+        if rows:
+            updated[key] = rows
+        else:
+            updated.pop(key, None)
+    return updated
+
 
 @dataclass(frozen=True)
 class ViewSnapshot:
     """One immutable epoch of the live view.
 
-    ``relations`` is the full IDB interpretation and ``edb`` the EDB in
-    ``evaluate``'s ``extra_edb`` shape, both as frozensets -- a query
-    pinned to this snapshot can never observe a later update.
+    ``buckets`` maps every IDB predicate to its bucket maps, keyed by
+    position signature: the first-argument map (signature ``(0,)``, or
+    ``()`` for a nullary relation, whose one bucket holds its one row)
+    always, plus any signature a read has asked for.  Maps and buckets
+    are shared copy-on-write with the neighbouring epochs: whatever an
+    update did not touch is the same object in both snapshots, and a
+    publish replaces what it touches instead of changing it, so a query
+    pinned to this snapshot never observes a later update and reads
+    cost O(answer).  ``edb`` is the EDB in ``evaluate``'s ``extra_edb``
+    shape, as frozensets.
+
+    ``relations`` and ``goal_rows`` are unions of buckets, computed on
+    first use and cached; only unbound reads, resyncs and callers that
+    want whole relations pay for them.
     """
 
     epoch: int
     goal: str
-    relations: Mapping[str, frozenset]
+    buckets: Mapping[str, BucketMaps]
     edb: Mapping[str, frozenset]
+
+    @cached_property
+    def relations(self) -> dict[str, frozenset]:
+        """The full IDB interpretation at this epoch."""
+        return {
+            predicate: _union(maps)
+            for predicate, maps in self.buckets.items()
+        }
 
     @property
     def goal_rows(self) -> frozenset:
         return self.relations[self.goal]
 
+    def bucket(
+        self, predicate: str, positions: PositionSignature, key: tuple
+    ) -> frozenset:
+        """The rows of ``predicate`` holding ``key`` at ``positions``.
+
+        A signature asked for the first time gets its map built from
+        this snapshot's rows.  The map joins the relation's maps, which
+        every snapshot holding the same rows shares, and later
+        publishes carry it forward.
+        """
+        maps = self.buckets[predicate]
+        buckets = maps.get(positions)
+        if buckets is None:
+            buckets = maps[positions] = _bucket_map(_union(maps), positions)
+        return buckets.get(key, _NO_ROWS)
+
 
 def filter_rows(
     rows: Iterable[Row], bind: Sequence[str | None] | None
 ) -> list[Row]:
-    """The rows matching a positional binding (``None`` = free)."""
+    """The rows matching a positional binding (``None`` = free).
+
+    A scan of every row: the reference the bucket lookups of
+    :meth:`LiveView.query_view` are tested against.
+    """
     if bind is None:
         return list(rows)
     return [
@@ -118,7 +220,15 @@ class LiveView:
         )
         self._program_fp = program_fingerprint(program)
         self._epoch = epoch
-        self._snapshot = self._take_snapshot()
+        self._snapshot = ViewSnapshot(
+            epoch=epoch,
+            goal=program.goal,
+            buckets={
+                predicate: _first_argument_maps(rows, program.arity(predicate))
+                for predicate, rows in self._session.relations.items()
+            },
+            edb=self._session.current_extra_edb(),
+        )
 
     # -- accessors --------------------------------------------------------
 
@@ -153,14 +263,6 @@ class LiveView:
     def goal_arity(self) -> int:
         return self._program.arity(self._program.goal)
 
-    def _take_snapshot(self) -> ViewSnapshot:
-        return ViewSnapshot(
-            epoch=self._epoch,
-            goal=self._program.goal,
-            relations=self._session.relations,
-            edb=self._session.current_extra_edb(),
-        )
-
     # -- writes (single-writer: the server's writer task only) ------------
 
     def apply(self, update: Update) -> tuple[MaintenanceResult, ViewSnapshot]:
@@ -173,8 +275,40 @@ class LiveView:
         """
         result = self._session.apply(update)
         self._epoch += 1
-        self._snapshot = self._take_snapshot()
+        self._snapshot = self._publish(result)
         return result, self._snapshot
+
+    def _publish(self, result: MaintenanceResult) -> ViewSnapshot:
+        """The next epoch: the previous snapshot with ``result`` applied.
+
+        Only the maps of relations with a non-empty IDB delta are
+        copied, and in them only the buckets a delta row touches are
+        rebuilt; everything else is the previous snapshot's object.
+        """
+        previous = self._snapshot
+        buckets = previous.buckets
+        changed = result.idb_added.keys() | result.idb_removed.keys()
+        if changed:
+            buckets = dict(buckets)
+            for predicate in changed:
+                added = result.idb_added.get(predicate, _NO_ROWS)
+                removed = result.idb_removed.get(predicate, _NO_ROWS)
+                # A copy: a reader may add a signature meanwhile.
+                maps = list(buckets[predicate].items())
+                buckets[predicate] = {
+                    positions: _carry_forward(old, positions, added, removed)
+                    for positions, old in maps
+                }
+        edb = previous.edb
+        if result.applied:
+            edb = dict(edb)
+            rows = edb[result.predicate]
+            edb[result.predicate] = (
+                rows | result.applied
+                if result.kind == "insert"
+                else rows - result.applied
+            )
+        return ViewSnapshot(self._epoch, previous.goal, buckets, edb)
 
     # -- reads (any task, against a pinned snapshot) -----------------------
 
@@ -200,9 +334,21 @@ class LiveView:
         snapshot: ViewSnapshot,
         bind: Sequence[str | None] | None = None,
     ) -> list[Row]:
-        """Filter the materialised goal relation of a pinned snapshot."""
+        """Answer a goal binding with one lookup in a pinned snapshot."""
         self.check_bind(bind)
-        return filter_rows(snapshot.goal_rows, bind)
+        positions = tuple(
+            position
+            for position, entry in enumerate(bind or ())
+            if entry is not None
+        )
+        if not positions:
+            return list(snapshot.goal_rows)
+        if len(positions) == len(bind):
+            row = tuple(bind)
+            first = snapshot.bucket(self.goal, (0,), row[:1])
+            return [row] if row in first else []
+        key = tuple(bind[position] for position in positions)
+        return list(snapshot.bucket(self.goal, positions, key))
 
     def query_magic(
         self,

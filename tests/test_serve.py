@@ -9,10 +9,19 @@ differential suite and the kill/restart drill live in
 ``test_serve_differential.py`` and ``test_serve_faults.py``.
 """
 
+import itertools
+import random
+import sys
+import threading
+
 import pytest
 
-from repro.datalog.library import transitive_closure_program
+from repro.datalog.evaluation import evaluate
+from repro.datalog.incremental import Update
+from repro.datalog.library import library_programs, transitive_closure_program
+from repro.datalog.parser import parse_program
 from repro.graphs.digraph import DiGraph
+from repro.graphs.generators import random_digraph
 from repro.guard import CheckpointMismatch, ResourceBudget
 from repro.serve import protocol
 from repro.serve.client import ServeError
@@ -223,6 +232,203 @@ class TestLiveView:
                 DiGraph(nodes="abcd", edges=[("a", "b")]).to_structure(),
                 path,
             )
+
+
+def _bind_shapes(rows, arity, nodes, rng):
+    """Unbound, every bound position set, and fully bound rows in/out.
+
+    A single bound position takes every node; a larger set takes three
+    random tuples and the values of three answer rows.
+    """
+    shapes = [None, [None] * arity]
+    for size in range(1, arity):
+        for positions in itertools.combinations(range(arity), size):
+            if size == 1:
+                values = [[x] for x in nodes]
+            else:
+                values = [[rng.choice(nodes) for __ in positions]
+                          for __ in range(3)]
+                values += [[row[i] for i in positions] for row in rows[:3]]
+            for chosen in values:
+                bind = [None] * arity
+                for position, value in zip(positions, chosen):
+                    bind[position] = value
+                shapes.append(bind)
+    if arity:
+        if rows:
+            shapes.append(list(rng.choice(rows)))
+        present = set(rows)
+        absent = [
+            row for row in itertools.product(nodes, repeat=arity)
+            if row not in present
+        ]
+        if absent:
+            shapes.append(list(rng.choice(absent)))
+    return shapes
+
+
+def _assert_shared(previous, snapshot, result):
+    """Whatever the update's IDB delta did not touch is the same object."""
+    for predicate, maps in previous.buckets.items():
+        added = result.idb_added.get(predicate, frozenset())
+        removed = result.idb_removed.get(predicate, frozenset())
+        if not added and not removed:
+            assert snapshot.buckets[predicate] is maps, predicate
+            continue
+        assert snapshot.buckets[predicate] is not maps, predicate
+        for positions, buckets in list(maps.items()):
+            touched = {
+                tuple(row[i] for i in positions) for row in added | removed
+            }
+            carried = snapshot.buckets[predicate][positions]
+            for key, rows in buckets.items():
+                if key not in touched:
+                    assert carried[key] is rows, (predicate, positions, key)
+
+
+class TestCopyOnWriteSnapshots:
+    """Buckets shared across epochs: pinned reads, sharing, carry-forward."""
+
+    UPDATES = 100
+
+    @pytest.mark.parametrize(
+        "name,seed",
+        [
+            ("transitive-closure", 1),
+            ("two-disjoint-from-source", 2),
+            ("star-0-loop", 3),
+        ],
+    )
+    def test_every_kept_epoch_answers_like_a_fresh_evaluation(
+        self, name, seed
+    ):
+        program = library_programs()[name]
+        structure = random_digraph(6, 0.25, seed=seed).to_structure()
+        nodes = sorted(structure.universe)
+        arity = program.arity(program.goal)
+        rng = random.Random(seed)
+        view = LiveView(program, structure)
+        kept = [view.snapshot]
+        for step in range(self.UPDATES):
+            edges = sorted(view.snapshot.edb["E"])
+            if edges and rng.random() < 0.4:
+                update = Update("delete", "E", rng.choice(edges))
+            else:
+                update = Update(
+                    "insert", "E", (rng.choice(nodes), rng.choice(nodes))
+                )
+            previous = view.snapshot
+            result, snapshot = view.apply(update)
+            _assert_shared(previous, snapshot, result)
+            kept.append(snapshot)
+            if step % 10 == 0:
+                # Build the other signatures' maps now, so later
+                # publishes carry them forward.
+                rows = sorted(snapshot.goal_rows)
+                for bind in _bind_shapes(rows, arity, nodes, rng):
+                    view.query_view(snapshot, bind)
+        assert [s.epoch for s in kept] == list(range(self.UPDATES + 1))
+        for snapshot in kept:
+            expected = evaluate(
+                program, structure, extra_edb=snapshot.edb
+            ).relations
+            assert snapshot.relations == {
+                predicate: frozenset(expected[predicate])
+                for predicate in program.idb_predicates
+            }, snapshot.epoch
+            rows = sorted(expected[program.goal])
+            for bind in _bind_shapes(rows, arity, nodes, rng):
+                assert sorted(view.query_view(snapshot, bind)) == sorted(
+                    filter_rows(rows, bind)
+                ), (snapshot.epoch, bind)
+
+    def test_readers_racing_the_writer_see_their_own_epoch(self):
+        program = transitive_closure_program()
+        structure = random_digraph(5, 0.3, seed=4).to_structure()
+        nodes = sorted(structure.universe)
+        view = LiveView(program, structure)
+        stop = threading.Event()
+        checked, failures = [], []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                snapshot = view.snapshot
+                x, y = rng.choice(nodes), rng.choice(nodes)
+                bind = rng.choice([None, [x, None], [None, y], [x, y]])
+                # Evaluating first gives the writer time to move on.
+                rows = evaluate(
+                    program, structure, extra_edb=snapshot.edb
+                ).relations[program.goal]
+                got = sorted(view.query_view(snapshot, bind))
+                if got != sorted(filter_rows(rows, bind)):
+                    failures.append((snapshot.epoch, bind))
+                checked.append(snapshot.epoch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [
+            threading.Thread(target=reader, args=(seed,)) for seed in range(4)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            rng = random.Random(0)
+            for __ in range(200):
+                edges = sorted(view.snapshot.edb["E"])
+                if edges and rng.random() < 0.4:
+                    view.apply(Update("delete", "E", rng.choice(edges)))
+                else:
+                    view.apply(Update(
+                        "insert", "E", (rng.choice(nodes), rng.choice(nodes))
+                    ))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:5]
+        assert len(set(checked)) > 10
+
+    def test_nullary_goal_has_one_bucket(self):
+        program = parse_program(
+            "G() :- E(x, x).\nS(x, y) :- E(x, y).\n", "G"
+        )
+        view = LiveView(
+            program, DiGraph(nodes="ab", edges=[("a", "b")]).to_structure()
+        )
+        empty = view.snapshot
+        assert empty.buckets["G"] == {(): {}}
+        assert view.query_view(empty, []) == []
+        result, looped = view.apply(Update("insert", "E", ("a", "a")))
+        assert looped.buckets["G"] == {(): {(): frozenset({()})}}
+        assert view.query_view(looped, []) == [()]
+        __, unlooped = view.apply(Update("delete", "E", ("a", "a")))
+        assert view.query_view(unlooped, []) == []
+        assert view.query_view(looped, []) == [()]
+        assert view.query_view(empty, []) == []
+
+    def test_a_signature_built_on_first_use_is_carried_forward(self):
+        view = tc_view([("a", "b"), ("b", "c")])
+        first = view.snapshot
+        assert sorted(view.query_view(first, [None, "c"])) == [
+            ("a", "c"),
+            ("b", "c"),
+        ]
+        assert (1,) in first.buckets["S"]
+        __, second = view.apply(Update("insert", "E", ("c", "d")))
+        assert sorted(second.buckets["S"]) == [(0,), (1,)]
+        # Only the bucket the delta touched under (1,) was rebuilt.
+        assert second.buckets["S"][(1,)][("c",)] is (
+            first.buckets["S"][(1,)][("c",)]
+        )
+        assert sorted(view.query_view(second, [None, "d"])) == [
+            ("a", "d"),
+            ("b", "d"),
+            ("c", "d"),
+        ]
+        assert view.query_view(first, [None, "d"]) == []
 
 
 class TestServerIntegration:
